@@ -224,7 +224,10 @@ func BenchmarkRunnerBatch(b *testing.B) {
 // slot-by-slot reference path and the compact-time fast path side by side.
 // The compact/slow ns-per-op ratio is the fast path's speedup; the compact
 // variants must report zero steady-state allocations per slot (the
-// per-iteration allocations are Run's one-time setup).
+// per-iteration allocations are Run's one-time setup). The duty-0.001pct
+// row (period 100000) is beyond the compact path's hyperperiod cap, so
+// both of its modes exercise the slot path's awake calendar in the paper's
+// ultra-low-duty regime.
 func BenchmarkEngine(b *testing.B) {
 	g := topology.GreenOrbs(1)
 	for _, duty := range []struct {
@@ -233,6 +236,7 @@ func BenchmarkEngine(b *testing.B) {
 	}{
 		{"duty-1pct", 100},
 		{"duty-5pct", 20},
+		{"duty-0.001pct", 100000},
 	} {
 		scheds := schedule.AssignUniform(g.N(), duty.period, rngutil.New(1).SubName("schedule"))
 		for _, name := range []string{"opt", "dbao", "of"} {

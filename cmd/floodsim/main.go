@@ -95,8 +95,8 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	if o.duty <= 0 || o.duty > 1 {
-		return fmt.Errorf("duty %v outside (0,1]", o.duty)
+	if err := schedule.CheckDuty(o.duty); err != nil {
+		return err
 	}
 	period := schedule.PeriodForDuty(o.duty)
 	scheds := schedule.AssignUniform(g.N(), period, rngutil.New(o.seed).SubName("schedule"))

@@ -65,6 +65,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad protocol", "bogus", "greenorbs", 0.1},
 		{"bad duty", "opt", "greenorbs", 0},
 		{"bad duty high", "opt", "greenorbs", 1.5},
+		{"duty below MinDuty", "opt", "greenorbs", 1e-300},
 		{"missing file", "opt", "/nonexistent/trace.txt", 0.1},
 	}
 	for _, c := range cases {

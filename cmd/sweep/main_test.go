@@ -157,6 +157,19 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// A duty too small for an int64 period is an error naming the limit, not a
+// silent period-1 (100% duty) run.
+func TestRunRejectsTinyDuty(t *testing.T) {
+	for _, d := range []string{"1e-19", "1e-300", "5e-324"} {
+		sc := testConfig()
+		sc.dutiesCSV = d
+		err := run(io.Discard, sc)
+		if err == nil || !strings.Contains(err.Error(), "smallest accepted duty is 1e-18") {
+			t.Fatalf("duty %s: err = %v, want the smallest-duty error", d, err)
+		}
+	}
+}
+
 // writeFaultSpec drops a small fault schedule (a jam over a node list plus
 // one crash/reboot) into a temp file and returns its path.
 func writeFaultSpec(t *testing.T) string {

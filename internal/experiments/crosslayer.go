@@ -107,8 +107,8 @@ func SimDelayFunc(protocol string, opts SimOptions) optimize.DelayFunc {
 	g := topology.GreenOrbs(opts.TopoSeed)
 	cache := map[int]float64{}
 	return func(duty float64) (float64, error) {
-		if duty <= 0 || duty > 1 {
-			return 0, fmt.Errorf("experiments: duty %v outside (0,1]", duty)
+		if err := schedule.CheckDuty(duty); err != nil {
+			return 0, fmt.Errorf("experiments: %w", err)
 		}
 		period := schedule.PeriodForDuty(duty)
 		if v, ok := cache[period]; ok {

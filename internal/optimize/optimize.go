@@ -256,8 +256,8 @@ func AnalyticDelay(n int, linkQuality, coverage float64, m int) (DelayFunc, erro
 	}
 	k := analysis.KClass(linkQuality)
 	return func(duty float64) (float64, error) {
-		if duty <= 0 || duty > 1 {
-			return 0, fmt.Errorf("duty %v outside (0,1]", duty)
+		if err := schedule.CheckDuty(duty); err != nil {
+			return 0, err
 		}
 		period := schedule.PeriodForDuty(duty)
 		single := analysis.PredictedDelay(n, coverage, k, period)

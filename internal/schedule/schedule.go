@@ -7,17 +7,18 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ldcflood/internal/rngutil"
 )
 
 // Schedule is a periodic active/dormant pattern. Immutable after creation;
-// safe for concurrent readers.
+// safe for concurrent readers. It stores only its sorted active slots, so
+// its size is O(active slots) whatever the period.
 type Schedule struct {
 	period int
-	active []bool
-	slots  []int // sorted active slot indices
+	slots  []int // sorted, distinct active slot indices
 }
 
 // NewSingleSlot returns a schedule with period T that is active only in the
@@ -28,8 +29,9 @@ func NewSingleSlot(period, slot int) *Schedule {
 }
 
 // NewMultiSlot returns a schedule with period T active in the given slots.
-// Duplicate slots are collapsed. It panics for an invalid period, an empty
-// slot list, or out-of-range slots.
+// The slots may come in any order; duplicates are collapsed. The caller's
+// slice is not retained or modified. It panics for an invalid period, an
+// empty slot list, or out-of-range slots.
 func NewMultiSlot(period int, slots []int) *Schedule {
 	if period <= 0 {
 		panic(fmt.Sprintf("schedule: period %d must be positive", period))
@@ -37,19 +39,14 @@ func NewMultiSlot(period int, slots []int) *Schedule {
 	if len(slots) == 0 {
 		panic("schedule: need at least one active slot")
 	}
-	s := &Schedule{period: period, active: make([]bool, period)}
 	for _, slot := range slots {
 		if slot < 0 || slot >= period {
 			panic(fmt.Sprintf("schedule: slot %d outside [0,%d)", slot, period))
 		}
-		s.active[slot] = true
 	}
-	for i, a := range s.active {
-		if a {
-			s.slots = append(s.slots, i)
-		}
-	}
-	return s
+	sorted := slices.Clone(slots)
+	slices.Sort(sorted)
+	return &Schedule{period: period, slots: slices.Compact(sorted)}
 }
 
 // AlwaysOn returns the degenerate 100%-duty schedule (period 1). It models
@@ -71,9 +68,11 @@ func (s *Schedule) DutyRatio() float64 {
 }
 
 // IsActive reports whether the sensor is awake at absolute slot t. Negative
-// t is treated by periodic extension.
+// t is treated by periodic extension. It binary-searches the active slots,
+// O(log ActiveSlots).
 func (s *Schedule) IsActive(t int64) bool {
-	return s.active[s.phase(t)]
+	_, found := slices.BinarySearch(s.slots, s.phase(t))
+	return found
 }
 
 func (s *Schedule) phase(t int64) int {
@@ -198,16 +197,28 @@ func AssignAligned(n, period, slot int) []*Schedule {
 	return out
 }
 
+// MinDuty is the smallest duty ratio PeriodForDuty accepts. Its period,
+// about 10^18 slots, is within an order of magnitude of the int64 slot
+// clock's limit; much smaller duties would overflow the period.
+const MinDuty = 1e-18
+
+// CheckDuty reports whether duty lies in [MinDuty, 1], the range
+// PeriodForDuty accepts, with an error naming the accepted range
+// otherwise (NaN is rejected too). Input paths call it so a bad duty is
+// an error rather than a PeriodForDuty panic.
+func CheckDuty(duty float64) error {
+	if !(duty >= MinDuty && duty <= 1) {
+		return fmt.Errorf("duty %v outside [%v,1]: the smallest accepted duty is %v", duty, MinDuty, MinDuty)
+	}
+	return nil
+}
+
 // PeriodForDuty returns the integer period T that realizes the requested
 // duty ratio with a single active slot, i.e. round(1/duty). It panics for
-// duty outside (0, 1].
+// duty outside [MinDuty, 1] (see CheckDuty).
 func PeriodForDuty(duty float64) int {
-	if duty <= 0 || duty > 1 {
-		panic(fmt.Sprintf("schedule: duty %v outside (0,1]", duty))
+	if err := CheckDuty(duty); err != nil {
+		panic("schedule: " + err.Error())
 	}
-	t := int(1/duty + 0.5)
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return int(1/duty + 0.5)
 }

@@ -1,6 +1,9 @@
 package schedule
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,6 +64,39 @@ func TestMultiSlot(t *testing.T) {
 	slots := s.ActiveSlots()
 	if len(slots) != 2 || slots[0] != 2 || slots[1] != 6 {
 		t.Fatalf("ActiveSlots = %v", slots)
+	}
+}
+
+func TestMultiSlotSortsAndDedupes(t *testing.T) {
+	in := []int{7, 3, 7, 0}
+	s := NewMultiSlot(10, in)
+	if got := s.ActiveSlots(); !slices.Equal(got, []int{0, 3, 7}) {
+		t.Fatalf("ActiveSlots = %v, want [0 3 7]", got)
+	}
+	if !slices.Equal(in, []int{7, 3, 7, 0}) {
+		t.Fatalf("NewMultiSlot modified its input: %v", in)
+	}
+	for tt := int64(-25); tt < 25; tt++ {
+		phase := ((tt % 10) + 10) % 10
+		want := phase == 0 || phase == 3 || phase == 7
+		if got := s.IsActive(tt); got != want {
+			t.Fatalf("IsActive(%d) = %v, want %v", tt, got, want)
+		}
+	}
+}
+
+// A schedule stores only its active slots, so a billion-slot period costs
+// a few dozen bytes rather than a period-sized bitmap.
+func TestHugePeriodIsSmall(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewSingleSlot(1e9, 5)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1024 {
+		t.Fatalf("NewSingleSlot(1e9, 5) allocated %d bytes, want < 1 KiB", d)
+	}
+	if !s.IsActive(1e9+5) || s.IsActive(1e9+4) || s.NextActive(6) != 1e9+5 {
+		t.Fatalf("huge-period schedule misbehaves: %v", s)
 	}
 }
 
@@ -229,6 +265,42 @@ func TestPeriodForDuty(t *testing.T) {
 		if got := PeriodForDuty(c.duty); got != c.want {
 			t.Fatalf("PeriodForDuty(%v) = %d, want %d", c.duty, got, c.want)
 		}
+	}
+}
+
+// Duties too small for an int64 period are rejected, not rounded into a
+// bogus (formerly period-1, i.e. 100%) schedule.
+func TestPeriodForDutyTiny(t *testing.T) {
+	cases := []struct {
+		duty float64
+		want int // 0: rejected
+	}{
+		{1e-15, 1e15},
+		{MinDuty, 999999999999999872}, // 1/MinDuty rounded to float64
+		{1e-19, 0},
+		{1e-300, 0},
+		{5e-324, 0},
+		{math.NaN(), 0},
+	}
+	for _, c := range cases {
+		err := CheckDuty(c.duty)
+		if (err == nil) != (c.want != 0) {
+			t.Fatalf("CheckDuty(%v) = %v", c.duty, err)
+		}
+		if c.want != 0 {
+			if got := PeriodForDuty(c.duty); got != c.want {
+				t.Fatalf("PeriodForDuty(%v) = %d, want %d", c.duty, got, c.want)
+			}
+			continue
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("PeriodForDuty(%v) did not panic", c.duty)
+				}
+			}()
+			PeriodForDuty(c.duty)
+		}()
 	}
 }
 

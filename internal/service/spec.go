@@ -95,7 +95,8 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 type Spec struct {
 	// Protocols names the flood protocols to sweep (see flood.New).
 	Protocols []string `json:"protocols,omitempty"`
-	// Duties is the duty-cycle axis; every value must lie in (0,1].
+	// Duties is the duty-cycle axis; every value must lie in
+	// [schedule.MinDuty, 1].
 	Duties []float64 `json:"duties,omitempty"`
 	// Seeds is the number of per-cell seeds (0..Seeds-1).
 	Seeds int `json:"seeds,omitempty"`
@@ -218,8 +219,8 @@ func Compile(spec Spec) (*Grid, error) {
 	}
 	spec.Protocols = protocols
 	for _, v := range spec.Duties {
-		if v <= 0 || v > 1 {
-			return nil, fmt.Errorf("duty %v outside (0,1]", v)
+		if err := schedule.CheckDuty(v); err != nil {
+			return nil, err
 		}
 	}
 	if spec.Seeds < 1 {

@@ -52,3 +52,20 @@ func TestLegacyJournalKeyMatchesCompiledKey(t *testing.T) {
 		t.Fatalf("legacy spelling of compiled key not detected:\nstored %q\nwant   %q", legacy, want)
 	}
 }
+
+// Compile rejects duties whose period would overflow an int64 with an
+// error naming the smallest accepted duty, and accepts a 1e-15 duty.
+func TestCompileDutyRange(t *testing.T) {
+	spec := func(d float64) Spec {
+		return Spec{Protocols: []string{"opt"}, Duties: []float64{d}, Seeds: 1, M: 1, Coverage: 0.99, TopoSeed: 1}
+	}
+	if _, err := Compile(spec(1e-15)); err != nil {
+		t.Fatalf("duty 1e-15 rejected: %v", err)
+	}
+	for _, d := range []float64{1e-19, 1e-300, 5e-324, 0, 1.5} {
+		_, err := Compile(spec(d))
+		if err == nil || !strings.Contains(err.Error(), "smallest accepted duty is 1e-18") {
+			t.Fatalf("duty %v: err = %v, want the smallest-duty error", d, err)
+		}
+	}
+}

@@ -148,6 +148,9 @@ type engine struct {
 	statPlanCands int64
 	statMergeRecv int64
 	statOhCands   int64
+	// statAwakeEntries counts the calendar entries the slot path visits
+	// (crashed nodes included): its exact awake-set work.
+	statAwakeEntries int64
 }
 
 // emitPlanned is the planner's emit callback: it stages a selected
@@ -184,7 +187,12 @@ func Run(cfg Config) (*Result, error) {
 	if maxSlots <= 0 {
 		// Worst case ~ M injections, each needing O(diameter) hops at
 		// O(period / PRR) slots per hop; pad generously.
-		maxSlots = int64(maxPeriod) * int64(cfg.M+n+100) * 40
+		// The product saturates rather than overflowing for huge periods.
+		perPeriod := int64(cfg.M+n+100) * 40
+		maxSlots = math.MaxInt64
+		if int64(maxPeriod) <= math.MaxInt64/perPeriod {
+			maxSlots = int64(maxPeriod) * perPeriod
+		}
 	}
 
 	root := rngutil.New(cfg.Seed)
@@ -407,21 +415,23 @@ func (e *engine) inject(t int64) {
 }
 
 // runSlots is the reference execution path: iterate every wall-clock slot.
-// It supports every Config feature, including Adapt. The awake set is
-// recomputed each slot with an O(n) schedule scan — except in sharded mode
-// with static schedules, where precomputed hyperperiod buckets make the
-// recomputation O(awake); the two produce identical awake sets.
+// It supports every Config feature, including Adapt. The awake set comes
+// from a sparse calendar of the schedules' active offsets (calendar.go), so
+// each slot costs O(awake) whatever the periods; an Adapt call that swaps
+// any schedule rebuilds the calendar at the current slot.
 func (e *engine) runSlots() error {
 	w, res, cfg := e.w, e.res, &e.cfg
-	var plan *awakePlan
-	if e.workers > 0 && cfg.Adapt == nil {
-		plan = newAwakePlan(e.scheds)
+	cal := newCalendar(e.scheds, 0)
+	var calScheds []*schedule.Schedule // the table cal indexes, for Adapt
+	if cfg.Adapt != nil {
+		calScheds = slices.Clone(e.scheds)
 	}
-	// Without a fault injector no node can crash, so the per-node awake
-	// tally is a pure function of the static schedules and the horizon —
-	// computed arithmetically after the loop (exactly as runCompact does)
-	// instead of incrementing per awake node per slot.
-	countAwake := plan == nil || e.inj != nil
+	// Without a fault injector no node can crash, and without Adapt the
+	// schedules are static, so the per-node awake tally is a pure function
+	// of the schedules and the horizon — computed arithmetically after the
+	// loop (exactly as runCompact does) instead of incrementing per awake
+	// node per slot.
+	countAwake := e.inj != nil || cfg.Adapt != nil
 	for t := int64(0); t < e.maxSlots && e.covered < cfg.M; t++ {
 		if cfg.Interrupt != nil && cfg.Interrupt(t) {
 			return e.interruptErr(t)
@@ -437,32 +447,26 @@ func (e *engine) runSlots() error {
 					return fmt.Errorf("sim: Adapt set a nil schedule for node %d", i)
 				}
 			}
+			if !slices.Equal(calScheds, e.scheds) {
+				copy(calScheds, e.scheds)
+				cal = newCalendar(e.scheds, t)
+			}
 		}
 		// Awake set. Crashed nodes stay dormant regardless of schedule.
-		if plan != nil {
-			for _, i := range w.awakeList {
-				w.awake[i] = false
+		for _, i := range w.awakeList {
+			w.awake[i] = false
+		}
+		w.awakeList = w.awakeList[:0]
+		entries := cal.awake(t)
+		e.statAwakeEntries += int64(len(entries))
+		for _, i := range entries {
+			if e.crashed[i] {
+				continue
 			}
-			w.awakeList = w.awakeList[:0]
-			for _, i := range plan.buckets[t%plan.L] {
-				if e.crashed[i] {
-					continue
-				}
-				w.awake[i] = true
-				w.awakeList = append(w.awakeList, int(i))
-				if countAwake {
-					res.AwakeSlotsPerNode[i]++
-				}
-			}
-		} else {
-			w.awakeList = w.awakeList[:0]
-			for i := 0; i < e.n; i++ {
-				a := e.scheds[i].IsActive(t) && !e.crashed[i]
-				w.awake[i] = a
-				if a {
-					w.awakeList = append(w.awakeList, i)
-					res.AwakeSlotsPerNode[i]++
-				}
+			w.awake[i] = true
+			w.awakeList = append(w.awakeList, int(i))
+			if countAwake {
+				res.AwakeSlotsPerNode[i]++
 			}
 		}
 		if err := e.resolve(t); err != nil {

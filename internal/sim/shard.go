@@ -53,8 +53,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ldcflood/internal/schedule"
 )
 
 // rxKind classifies a receiver's slot outcome, mirroring the serial
@@ -335,60 +333,6 @@ func (p *shardPool) profileBatch(fn func(worker, chunk, lo, hi int), count, chun
 	s.WorkNS += work
 	s.SpanNS += span
 	s.BatchWallNS += work
-}
-
-// awakePlan precomputes per-offset awake buckets over the schedule
-// hyperperiod, so the sharded reference path recomputes the awake set in
-// O(awake) per slot instead of an O(n) scan — at 100k nodes and 1% duty
-// that is the difference between touching 100k and ~1k schedule entries
-// per slot. Unlike compactPlan it carries no adjacency structure, so it
-// stays O(n + L·awake) in memory at any scale.
-type awakePlan struct {
-	L       int64
-	buckets [][]int32
-}
-
-// newAwakePlan builds the offset buckets, or returns nil when the
-// hyperperiod exceeds compactMaxHyperperiod (the caller then scans).
-func newAwakePlan(scheds []*schedule.Schedule) *awakePlan {
-	L := 1
-	for _, s := range scheds {
-		L = lcm(L, s.Period())
-		if L > compactMaxHyperperiod {
-			return nil
-		}
-	}
-	plan := &awakePlan{L: int64(L), buckets: make([][]int32, L)}
-	counts := make([]int32, L)
-	total := 0
-	for _, s := range scheds {
-		total += len(s.ActiveSlots()) * (L / s.Period())
-		for _, off := range s.ActiveSlots() {
-			for base := off; base < L; base += s.Period() {
-				counts[base]++
-			}
-		}
-	}
-	backing := make([]int32, total)
-	pos := 0
-	for o := range plan.buckets {
-		c := int(counts[o])
-		if c == 0 {
-			continue
-		}
-		plan.buckets[o] = backing[pos : pos : pos+c]
-		pos += c
-	}
-	// Ascending node order per bucket, matching the serial scan's
-	// AwakeList order.
-	for i, s := range scheds {
-		for _, off := range s.ActiveSlots() {
-			for base := off; base < L; base += s.Period() {
-				plan.buckets[base] = append(plan.buckets[base], int32(i))
-			}
-		}
-	}
-	return plan
 }
 
 // resolveSlotSharded is the sharded counterpart of resolveSlot. See the

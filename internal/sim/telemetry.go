@@ -26,6 +26,9 @@ const telFlushEvery = 4096
 type simTel struct {
 	slotsVisited *telemetry.Counter
 	slotsSkipped *telemetry.Counter
+	// awakeEntries drains the slot path's calendar-entry tally; nil on
+	// the compact path.
+	awakeEntries *telemetry.Counter
 
 	txAttempts  *telemetry.Counter
 	txSuccess   *telemetry.Counter
@@ -70,6 +73,7 @@ type telPrev struct {
 
 	shardBatches, shardChunks, shardItems int64
 	planCands, mergeRecv, mergeOhCands    int64
+	awakeEntries                          int64
 }
 
 // newSimTel resolves the sim counter set against reg and counts the run
@@ -105,6 +109,9 @@ func newSimTel(reg *telemetry.Registry, compact bool, workers int) *simTel {
 		reboots:      reg.Counter("fault.reboots"),
 		dropped:      reg.Counter("fault.packets_dropped"),
 		chainFlips:   reg.Counter("fault.chain_flips"),
+	}
+	if !compact {
+		st.awakeEntries = reg.Counter("sim.awake.entries")
 	}
 	if workers > 0 {
 		st.shardBatches = reg.Counter("sim.shard.batches")
@@ -172,6 +179,9 @@ func (st *simTel) flush(e *engine) {
 			st.chainFlips.Add(d)
 			st.prev.flips = e.inj.ChainFlips()
 		}
+	}
+	if st.awakeEntries != nil {
+		addDelta64(st.awakeEntries, e.statAwakeEntries, &st.prev.awakeEntries)
 	}
 	if st.shardBatches != nil {
 		addDelta64(st.shardBatches, e.pool.batches, &st.prev.shardBatches)
