@@ -33,6 +33,11 @@ func BenchmarkDBAOGreenOrbs(b *testing.B)  { benchRun(b, NewDBAO(), 20, 10) }
 func BenchmarkOFGreenOrbs(b *testing.B)    { benchRun(b, NewOF(), 20, 10) }
 func BenchmarkNaiveGreenOrbs(b *testing.B) { benchRun(b, NewNaive(), 20, 10) }
 
+// The timer protocols on the same harness; ROADMAP's "DFlood within 3× of
+// OPT" gate compares BenchmarkDFloodGreenOrbs against BenchmarkOPTGreenOrbs.
+func BenchmarkTrickleGreenOrbs(b *testing.B) { benchRun(b, NewTrickle(), 20, 10) }
+func BenchmarkDFloodGreenOrbs(b *testing.B)  { benchRun(b, NewDFlood(), 20, 10) }
+
 // BenchmarkSlotThroughput measures raw engine slots/second with the
 // cheapest protocol, isolating per-slot overhead.
 func BenchmarkSlotThroughput(b *testing.B) {

@@ -1,6 +1,8 @@
 package flood
 
 import (
+	"math/bits"
+
 	"ldcflood/internal/rngutil"
 	"ldcflood/internal/sim"
 	"ldcflood/internal/telemetry"
@@ -32,8 +34,9 @@ import (
 // time in the serial phases. No engine hook is needed and the schedule is
 // bit-identical across the serial, sharded, reference and compact paths.
 type DFlood struct {
-	// Tmin and Tmax bound the per-packet forwarding delay in slots. Zero
-	// selects the exemplar defaults (5 and 65).
+	// Tmin and Tmax bound the per-packet forwarding delay in slots. A
+	// non-positive Tmin selects the exemplar default 5; a Tmax at or below
+	// Tmin selects Tmin + 60 (the exemplar's 65 for the default Tmin).
 	Tmin, Tmax int64
 	// Ndupl is the duplicate threshold: with at least Ndupl neighboring
 	// holders, each additional holder delays the forwarding slot by Tmax.
@@ -70,7 +73,7 @@ func (d *DFlood) Reset(w *sim.World) {
 		d.Tmin = 5
 	}
 	if d.Tmax <= d.Tmin {
-		d.Tmax = 65
+		d.Tmax = d.Tmin + 60
 	}
 	if d.Ndupl == 0 {
 		d.Ndupl = 2
@@ -135,14 +138,7 @@ func (d *DFlood) fireSlots(w *sim.World, s, p int) (base, required int64) {
 	base = w.RecvTime(p, s) + d.Tmin + int64(u*float64(d.Tmax-d.Tmin)) + d.backoff(a)
 	required = base
 	if d.Ndupl >= 0 {
-		holders := 0
-		row, _ := d.csr.Row(s)
-		for _, n32 := range row {
-			if w.Has(p, int(n32)) {
-				holders++
-			}
-		}
-		if holders >= d.Ndupl {
+		if holders := w.NeighborHolders(p, s); holders >= d.Ndupl {
 			required += int64(holders-d.Ndupl+1) * d.Tmax
 		}
 	}
@@ -158,22 +154,25 @@ func (d *DFlood) fireSlots(w *sim.World, s, p int) (base, required int64) {
 func (d *DFlood) pairChoice(w *sim.World, s, r int, now int64) (pkt int, required int64, blocked bool) {
 	pkt = -1
 	blockedPkt := -1
-	for p := 0; p < w.Injected(); p++ {
-		if !w.Has(p, s) || w.Has(p, r) {
-			continue
-		}
-		base, req := d.fireSlots(w, s, p)
-		if now < base {
-			continue // not yet due at all
-		}
-		if now < req {
-			if blockedPkt < 0 {
-				blockedPkt = p
+	rh := w.Held(r)
+	for i, sw := range w.Held(s) {
+		// Set bits in ascending packet order, so ties still go to the
+		// smaller packet index.
+		for offer := sw &^ rh[i]; offer != 0; offer &= offer - 1 {
+			p := i<<6 + bits.TrailingZeros64(offer)
+			base, req := d.fireSlots(w, s, p)
+			if now < base {
+				continue // not yet due at all
 			}
-			continue // due, but duplicate-penalty-blocked
-		}
-		if pkt < 0 || req < required {
-			pkt, required = p, req
+			if now < req {
+				if blockedPkt < 0 {
+					blockedPkt = p
+				}
+				continue // due, but duplicate-penalty-blocked
+			}
+			if pkt < 0 || req < required {
+				pkt, required = p, req
+			}
 		}
 	}
 	if pkt < 0 && blockedPkt >= 0 {

@@ -86,6 +86,42 @@ func TestDFloodBackoffClosedForm(t *testing.T) {
 	}
 }
 
+// earlyFireProbe wraps DFlood's serial Intents and counts intents emitted
+// before the sender's reception slot of the packet plus Tmin.
+type earlyFireProbe struct {
+	*DFlood
+	early, total int
+}
+
+func (p *earlyFireProbe) Intents(w *sim.World) []sim.Intent {
+	out := p.DFlood.Intents(w)
+	for _, in := range out {
+		p.total++
+		if w.Now() < w.RecvTime(in.Packet, in.From)+p.Tmin {
+			p.early++
+		}
+	}
+	return out
+}
+
+// TestDFloodTminBoundsDelay pins the Tmax default for a large Tmin: the
+// jitter window [0, Tmax-Tmin) must stay non-negative, so no packet is
+// forwarded before RecvTime+Tmin.
+func TestDFloodTminBoundsDelay(t *testing.T) {
+	g := topology.GreenOrbs(1)
+	probe := &earlyFireProbe{DFlood: &DFlood{Tmin: 100}}
+	res := runOn(t, g, uniform(g.N(), 20, 7), probe, 5, 1, 2_000_000)
+	if !res.Completed {
+		t.Fatal("incomplete")
+	}
+	if probe.Tmax != 160 {
+		t.Fatalf("Tmax defaulted to %d, want Tmin+60 = 160", probe.Tmax)
+	}
+	if probe.total == 0 || probe.early > 0 {
+		t.Fatalf("%d of %d intents fired before RecvTime+Tmin", probe.early, probe.total)
+	}
+}
+
 // TestTimerProtocolsSuppress checks the suppression machinery actually
 // engages on a dense topology and that the counters agree with their
 // per-node breakdowns.

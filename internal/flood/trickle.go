@@ -111,19 +111,10 @@ func (t *Trickle) FloodCounters() (messages, suppressed int64) {
 func (t *Trickle) SuppressedPerNode() []int64 { return t.supp.perNode }
 
 // lastResetOf returns node s's most recent interval reset: the latest slot
-// at which it received any packet (injection included). Callers guarantee
-// s holds at least one packet, so the result is non-negative.
+// at which it received any packet it holds (injection included), clamped
+// at 0 for a node holding nothing. An O(1) read of the world's summary.
 func lastResetOf(w *sim.World, s int) int64 {
-	lr := int64(-1)
-	for p := 0; p < w.Injected(); p++ {
-		if rt := w.RecvTime(p, s); rt > lr {
-			lr = rt
-		}
-	}
-	if lr < 0 {
-		lr = 0
-	}
-	return lr
+	return max(w.LastReception(s), 0)
 }
 
 // intervalAt returns the start and length of the current Trickle interval

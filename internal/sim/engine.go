@@ -63,13 +63,14 @@ type engine struct {
 	maxSlots   int64
 	covered    int
 
-	// linkPRR is a dense n×n PRR matrix (-1 for absent links) giving the
-	// hot loop O(1) link checks instead of adjacency scans; nil when n
-	// exceeds maxDensePRRNodes, falling back to CSR lookups.
+	// linkPRR is the graph's shared dense n×n PRR matrix (0 for absent
+	// links, see Graph.DensePRR) giving the hot loop O(1) link checks
+	// instead of adjacency scans; nil when n exceeds maxDensePRRNodes,
+	// falling back to CSR lookups. Read-only.
 	linkPRR []float64
-	// csr is the graph's flat adjacency view, set whenever linkPRR is nil
-	// (large graphs) or the sharded mode is active (its overhearing phase
-	// iterates neighbor rows). Shared, read-only.
+	// csr is the graph's flat adjacency view (the World's): link lookups
+	// when linkPRR is nil, and the sharded overhearing phase's neighbor
+	// rows. Shared, read-only.
 	csr *topology.CSR
 
 	// Sharded execution mode (Config.Workers >= 1). shardRoot seeds the
@@ -212,11 +213,17 @@ func Run(cfg Config) (*Result, error) {
 		heldCount:      make([]int, n),
 		recvTime:       make([]int64, n*cfg.M),
 		count:          make([]int, cfg.M),
+		csr:            cfg.Graph.CSR(),
+		nbrHold:        make([]int32, n*cfg.M),
+		lastRecv:       make([]int64, n),
 		awake:          make([]bool, n),
 		transmitting:   make([]bool, n),
 	}
 	for i := range w.recvTime {
 		w.recvTime[i] = -1
+	}
+	for i := range w.lastRecv {
+		w.lastRecv[i] = -1
 	}
 
 	res := &Result{
@@ -253,6 +260,7 @@ func Run(cfg Config) (*Result, error) {
 		targeted:   make([]bool, n),
 		recvNow:    make([]bool, n),
 		crashed:    make([]bool, n),
+		csr:        w.csr,
 	}
 	if cfg.Faults != nil {
 		// The fault stream is derived from (not drawn from) the root, so
@@ -262,24 +270,10 @@ func Run(cfg Config) (*Result, error) {
 		e.events = e.inj.Events()
 	}
 	if n <= maxDensePRRNodes {
-		m := make([]float64, n*n)
-		for i := range m {
-			m[i] = -1
-		}
-		for u := 0; u < n; u++ {
-			for _, l := range cfg.Graph.Neighbors(u) {
-				m[u*n+l.To] = l.PRR
-			}
-		}
-		e.linkPRR = m
-	} else {
-		e.csr = cfg.Graph.CSR()
+		e.linkPRR = cfg.Graph.DensePRR()
 	}
 	if cfg.Workers > 0 {
 		e.workers = cfg.Workers
-		if e.csr == nil {
-			e.csr = cfg.Graph.CSR()
-		}
 		e.shardRoot = root.SubName("shard")
 		e.senderSuccess = make([]int32, n)
 		for i := range e.senderSuccess {
@@ -341,10 +335,7 @@ var maxDensePRRNodes = 1024
 // semantics through the dense matrix when available, the CSR otherwise.
 func (e *engine) prr(u, v int) float64 {
 	if e.linkPRR != nil {
-		if p := e.linkPRR[u*e.n+v]; p >= 0 {
-			return p
-		}
-		return 0
+		return e.linkPRR[u*e.n+v]
 	}
 	return e.csr.PRROf(u, v)
 }

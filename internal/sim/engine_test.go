@@ -446,9 +446,19 @@ func TestWorldAccessors(t *testing.T) {
 				if !w.NeedsAnything(2) || w.NeedsAnything(0) {
 					t.Error("NeedsAnything wrong")
 				}
-				holders := w.HoldersOf(2)
-				if len(holders) != 1 || holders[0].To != 1 {
-					t.Errorf("HoldersOf(2) = %v", holders)
+				if !w.AnyNeeded(1, 2) {
+					t.Error("AnyNeeded(1, 2) = false, want node 1 to offer node 2 a packet")
+				}
+				if w.NeighborHolders(0, 2) != 1 || w.NeighborHolders(1, 2) != 0 || w.NeighborHolders(0, 1) != 1 {
+					t.Errorf("NeighborHolders = %d/%d/%d, want 1/0/1",
+						w.NeighborHolders(0, 2), w.NeighborHolders(1, 2), w.NeighborHolders(0, 1))
+				}
+				if w.LastReception(0) != 1 || w.LastReception(1) != 0 || w.LastReception(2) != -1 {
+					t.Errorf("LastReception = %d/%d/%d, want 1/0/-1",
+						w.LastReception(0), w.LastReception(1), w.LastReception(2))
+				}
+				if got := w.Held(1); len(got) != 1 || got[0] != 1 {
+					t.Errorf("Held(1) = %v, want [1]", got)
 				}
 			}
 			// Chain forwarding.

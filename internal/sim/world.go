@@ -43,6 +43,14 @@ type World struct {
 	injected  int     // packets injected so far
 	now       int64
 
+	// Incremental summaries for the timer protocols, maintained only by
+	// deliver and dropAll (the sole possession mutations, which run in
+	// serial phases), so concurrent PlanReceiver calls read them
+	// race-free. csr is the graph's shared adjacency view the updates walk.
+	csr      *topology.CSR
+	nbrHold  []int32 // nbrHold[node*M+p]: node's neighbors currently holding p
+	lastRecv []int64 // lastRecv[node]: latest reception slot among held packets; -1 if none
+
 	awake        []bool
 	awakeList    []int
 	transmitting []bool
@@ -69,6 +77,19 @@ func (w *World) Has(p, node int) bool {
 
 // RecvTime returns the slot at which node received packet p, or -1.
 func (w *World) RecvTime(p, node int) int64 { return w.recvTime[node*w.M+p] }
+
+// Held returns node's possession words: bit p%64 of word p/64 is set when
+// node holds packet p. The slice aliases engine state; do not modify or
+// retain it.
+func (w *World) Held(node int) []uint64 { return w.has[node*w.pwords : (node+1)*w.pwords] }
+
+// NeighborHolders returns how many of node's neighbors currently hold
+// packet p — an O(1) read of a count the engine maintains per delivery.
+func (w *World) NeighborHolders(p, node int) int { return int(w.nbrHold[node*w.M+p]) }
+
+// LastReception returns the latest slot at which node received a packet it
+// still holds (injection included), or -1 when it holds nothing.
+func (w *World) LastReception(node int) int64 { return w.lastRecv[node] }
 
 // Count returns the number of nodes currently holding packet p.
 func (w *World) Count(p int) int { return w.count[p] }
@@ -132,25 +153,15 @@ func (w *World) AnyNeeded(sender, receiver int) bool {
 	return false
 }
 
-// HoldersOf returns receiver's neighbors currently holding at least one
-// packet receiver lacks, in adjacency order.
-func (w *World) HoldersOf(receiver int) []topology.Link {
-	var out []topology.Link
-	for _, l := range w.Graph.Neighbors(receiver) {
-		if w.AnyNeeded(l.To, receiver) {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // dropAll clears node's entire packet buffer — the engine applies it when
-// a fault-schedule crash takes effect. Possession bits, reception times and
-// the per-packet holder counts are rolled back; latched Result fields
-// (CoverTime, Delay) are deliberately untouched, so coverage remains
-// monotone per packet. It returns the number of packet copies dropped.
+// a fault-schedule crash takes effect. Possession bits, reception times,
+// the per-packet holder counts and the neighbor-holder and last-reception
+// summaries are rolled back; latched Result fields (CoverTime, Delay) are
+// deliberately untouched, so coverage remains monotone per packet. It
+// returns the number of packet copies dropped.
 func (w *World) dropAll(node int) int {
 	dropped := 0
+	row, _ := w.csr.Row(node)
 	words := w.has[node*w.pwords : (node+1)*w.pwords]
 	for i, word := range words {
 		for word != 0 {
@@ -158,14 +169,21 @@ func (w *World) dropAll(node int) int {
 			word &= word - 1
 			w.count[p]--
 			w.recvTime[node*w.M+p] = -1
+			for _, u := range row {
+				w.nbrHold[int(u)*w.M+p]--
+			}
 			dropped++
 		}
 		words[i] = 0
 	}
 	w.heldCount[node] = 0
+	w.lastRecv[node] = -1
 	return dropped
 }
 
+// deliver records that node received packet p at slot t, reporting false
+// if it already held p. Slots never decrease across calls, so t is also
+// node's new last-reception slot.
 func (w *World) deliver(p, node int, t int64) bool {
 	if w.Has(p, node) {
 		return false
@@ -174,6 +192,11 @@ func (w *World) deliver(p, node int, t int64) bool {
 	w.recvTime[node*w.M+p] = t
 	w.count[p]++
 	w.heldCount[node]++
+	w.lastRecv[node] = t
+	row, _ := w.csr.Row(node)
+	for _, u := range row {
+		w.nbrHold[int(u)*w.M+p]++
+	}
 	if w.onDeliver != nil {
 		w.onDeliver(p, node)
 	}

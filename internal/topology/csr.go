@@ -127,10 +127,11 @@ func (c *CSR) PRROf(u, v int) float64 {
 // HasLink reports whether u and v are linked.
 func (c *CSR) HasLink(u, v int) bool { return c.find(u, v) >= 0 }
 
-// csrMu guards every Graph's cached CSR. A single package-level mutex
-// (rather than a per-graph one) keeps Graph free of lock state, which its
-// JSON decoder copies by value; contention is irrelevant because the
-// critical section is a pointer check except for the one build per graph.
+// csrMu guards every Graph's cached CSR and dense PRR matrix. A single
+// package-level mutex (rather than a per-graph one) keeps Graph free of
+// lock state, which its JSON decoder copies by value; contention is
+// irrelevant because the critical section is a pointer check except for
+// the one build per graph.
 var csrMu sync.Mutex
 
 // CSR returns the graph's compressed-sparse-row adjacency view, building
@@ -146,4 +147,25 @@ func (g *Graph) CSR() *CSR {
 		g.csr = NewCSR(g)
 	}
 	return g.csr
+}
+
+// DensePRR returns the graph's link PRRs as a dense row-major n×n matrix:
+// entry u*N()+v is Graph.PRR(u, v), 0 for unlinked pairs. It is built on
+// first call and cached like CSR (same lock, same invalidation), so every
+// simulation over one graph shares a single read-only copy. The matrix
+// costs 8·n² bytes; callers decide whether a graph is small enough.
+func (g *Graph) DensePRR() []float64 {
+	csrMu.Lock()
+	defer csrMu.Unlock()
+	if g.dense == nil {
+		n := g.N()
+		m := make([]float64, n*n)
+		for u, row := range g.adj {
+			for _, l := range row {
+				m[u*n+l.To] = l.PRR
+			}
+		}
+		g.dense = m
+	}
+	return g.dense
 }

@@ -109,6 +109,48 @@ func TestCSRCacheInvalidation(t *testing.T) {
 	}
 }
 
+// denseMatchesPRR asserts every entry of the dense matrix equals Graph.PRR,
+// absent pairs included.
+func denseMatchesPRR(t *testing.T, g *Graph) {
+	t.Helper()
+	m, n := g.DensePRR(), g.N()
+	if len(m) != n*n {
+		t.Fatalf("DensePRR has %d entries, want %d", len(m), n*n)
+	}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if got, want := m[u*n+v], g.PRR(u, v); got != want {
+				t.Fatalf("DensePRR[%d,%d] = %v, want %v", u, v, got, want)
+			}
+		}
+	}
+}
+
+func TestDensePRR(t *testing.T) {
+	for _, g := range []*Graph{GreenOrbs(1), Grid(6, 7, 0.8), Star(30, 0.5), Line(9, 1)} {
+		denseMatchesPRR(t, g)
+	}
+	g := Grid(4, 4, 0.8)
+	a := g.DensePRR()
+	if b := g.DensePRR(); &a[0] != &b[0] {
+		t.Fatal("second DensePRR call rebuilt the matrix")
+	}
+	g.AddLink(0, 15, 0.4)
+	b := g.DensePRR()
+	if &a[0] == &b[0] {
+		t.Fatal("AddLink did not invalidate the cached matrix")
+	}
+	denseMatchesPRR(t, g)
+	g.RemoveLink(0, 15)
+	if c := g.DensePRR(); &c[0] == &b[0] {
+		t.Fatal("RemoveLink did not invalidate the cached matrix")
+	}
+	denseMatchesPRR(t, g)
+	if c := g.Clone().DensePRR(); &c[0] == &g.DensePRR()[0] {
+		t.Fatal("clone shares the original's matrix cache")
+	}
+}
+
 // TestCSRDegenerate covers the fuzz-corpus extremes as deterministic
 // cases: a single node, a linkless graph, and a 50k-node maximum-degree
 // star, each round-tripped through the text and JSON codecs with the CSR

@@ -37,10 +37,12 @@ type Graph struct {
 	Pos  []Point
 	adj  [][]Link
 
-	// csr caches the flat CSR adjacency view (see CSR); nil until first
-	// requested, reset by every mutation. Guarded by the package-level
-	// csrMu, never a per-graph lock, so Graph stays copyable by value.
-	csr *CSR
+	// csr caches the flat CSR adjacency view (see CSR) and dense the n×n
+	// PRR matrix (see DensePRR); each is nil until first requested and
+	// reset by every mutation. Guarded by the package-level csrMu, never
+	// a per-graph lock, so Graph stays copyable by value.
+	csr   *CSR
+	dense []float64
 }
 
 // New creates an empty graph with n nodes and no links. It panics if n <= 0.
@@ -68,7 +70,7 @@ func (g *Graph) AddLink(u, v int, prr float64) {
 	}
 	g.setDirected(u, v, prr)
 	g.setDirected(v, u, prr)
-	g.csr = nil
+	g.invalidate()
 }
 
 func (g *Graph) setDirected(u, v int, prr float64) {
@@ -89,7 +91,7 @@ func (g *Graph) RemoveLink(u, v int) bool {
 	removed := g.removeDirected(u, v)
 	if removed {
 		g.removeDirected(v, u)
-		g.csr = nil
+		g.invalidate()
 	}
 	return removed
 }
@@ -158,7 +160,13 @@ func (g *Graph) SortNeighbors() {
 	for u := range g.adj {
 		sort.Slice(g.adj[u], func(i, j int) bool { return g.adj[u][i].To < g.adj[u][j].To })
 	}
+	g.invalidate()
+}
+
+// invalidate drops the cached CSR and dense-PRR views after a mutation.
+func (g *Graph) invalidate() {
 	g.csr = nil
+	g.dense = nil
 }
 
 // Clone returns a deep copy of the graph.
