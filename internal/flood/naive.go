@@ -19,16 +19,12 @@ type Naive struct {
 	HiddenFireProb float64
 
 	assigned  []bool
-	audible   *audibility
+	audible   audibility
 	csr       *topology.CSR
 	intentBuf []sim.Intent
 	candBuf   []int
 	firingBuf []int
 	sel       selScratch
-
-	// csGraph memoizes the audibility structure across runs over the same
-	// (immutable) topology.
-	csGraph *topology.Graph
 }
 
 // NewNaive returns a fresh Naive instance.
@@ -43,10 +39,7 @@ func (n *Naive) Reset(w *sim.World) {
 	if n.HiddenFireProb <= 0 {
 		n.HiddenFireProb = 0.5
 	}
-	if n.csGraph != w.Graph {
-		n.audible = buildAudibility(w.Graph, 1.2)
-		n.csGraph = w.Graph
-	}
+	n.audible = newAudibility(w.Graph, 1.2)
 	n.csr = w.Graph.CSR()
 }
 

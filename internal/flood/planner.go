@@ -67,7 +67,7 @@ const (
 	// top-ranked candidate. DBAO plans its candidates in rank order, so
 	// when the top candidate is unassigned at selection time it is the
 	// back-off winner and the hidden-terminal test is this precomputed
-	// (parallel) bit instead of a serial audibility search.
+	// (parallel) bit instead of a serial audibility check.
 	candAudibleTop uint8 = 1 << 2
 	// candSuppressed marks a Trickle/DFlood candidate whose firing is
 	// suppressed this slot (redundancy rule / duplicate penalty).
@@ -171,7 +171,7 @@ func dbaoRankCand(a, b sim.Candidate) int {
 // PlanReceiver implements sim.ShardPlanner: the back-off candidate set
 // (needed holders that did not defer) with pre-drawn hidden-fire uniforms,
 // sorted into back-off rank order with audibility against the top-ranked
-// candidate precomputed. Sorting and the audibility searches are the
+// candidate precomputed. Sorting and the audibility checks are the
 // expensive parts of DBAO's selection rule; doing them here puts them on
 // the worker pool and leaves SelectIntents a near-trivial serial walk.
 func (d *DBAO) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
@@ -203,7 +203,7 @@ func (d *DBAO) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim
 // first unassigned candidate and the walk emits hidden candidates already
 // in rank order. When the winner is the top-ranked candidate — the common
 // case — the hidden-terminal test reads the plan-time candAudibleTop bit;
-// otherwise it falls back to the audibility search against the actual
+// otherwise it falls back to the audibility check against the actual
 // winner.
 func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
 	sel := d.sel.emitted[:0]

@@ -7,8 +7,6 @@ package flood
 // its trace in BOTH encodings — text (tracelog) and binary (tracebin) —
 // and the byte-identity guarantees are asserted on each independently,
 // plus a round-trip check that the two encodings carry identical events.
-// Also certifies the sparse (spatial-hash) carrier-sense audibility
-// against the dense matrix, membership-exact and end to end.
 
 import (
 	"bytes"
@@ -189,68 +187,5 @@ func TestShardEquivalenceGrid(t *testing.T) {
 				checkRoundTrip(t, refTrace1, protocol+" reference workers 1")
 			}
 		})
-	}
-}
-
-// TestAudibilitySparseMatchesDense certifies the spatial-hash sparse
-// audibility structure membership-identical to the dense matrix, on a
-// positioned forest topology and on the position-free fallback.
-func TestAudibilitySparseMatchesDense(t *testing.T) {
-	check := func(g *topology.Graph, csFactor float64) {
-		t.Helper()
-		dense := buildAudibility(g, csFactor)
-		if dense.bits == nil {
-			t.Fatal("expected dense structure below the cutoff")
-		}
-		restore := setAudibilityDenseLimit(1)
-		sparse := buildAudibility(g, csFactor)
-		restore()
-		if sparse.rows == nil {
-			t.Fatal("expected sparse structure with the cutoff forced")
-		}
-		n := g.N()
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if u == v {
-					continue
-				}
-				if dense.has(u, v) != sparse.has(u, v) {
-					t.Fatalf("audibility(%d, %d): dense %v, sparse %v",
-						u, v, dense.has(u, v), sparse.has(u, v))
-				}
-			}
-		}
-	}
-	g := topology.GreenOrbs(1)
-	check(g, 1.2)
-	check(g, 2.0)
-	posFree := g.Clone()
-	posFree.Pos = nil
-	check(posFree, 1.2)
-}
-
-// TestSparseAudibilityEndToEnd runs the carrier-sense protocols with the
-// sparse audibility structure forced and requires bit-identical results and
-// traces versus the dense matrix.
-func TestSparseAudibilityEndToEnd(t *testing.T) {
-	g := topology.GreenOrbs(1)
-	cfg := sim.Config{
-		Graph:            g,
-		Schedules:        uniform(g.N(), 20, 42),
-		M:                3,
-		Coverage:         0.99,
-		Seed:             7,
-		MaxSlots:         200000,
-		RecordReceptions: true,
-	}
-	for _, protocol := range []string{"dbao", "naive"} {
-		dense, denseTrace := runSharded(t, cfg, protocol, 0, true)
-		restore := setAudibilityDenseLimit(1)
-		sparse, sparseTrace := runSharded(t, cfg, protocol, 0, true)
-		restore()
-		if !reflect.DeepEqual(dense, sparse) {
-			t.Errorf("%s: sparse audibility changed the run", protocol)
-		}
-		equalTraces(t, denseTrace, sparseTrace, protocol+" sparse vs dense audibility")
 	}
 }

@@ -29,39 +29,6 @@ func worldFor(t *testing.T, g *topology.Graph, p sim.Protocol) {
 	}
 }
 
-func TestCarrierSenseBitsetPositionBased(t *testing.T) {
-	// Three collinear nodes 30m apart with a max link of 30m: at factor
-	// 1.0 the ends (60m apart) are hidden from each other, at 2.5 audible.
-	g := topology.New(3)
-	g.Pos = []topology.Point{{X: 0}, {X: 30}, {X: 60}}
-	g.AddLink(0, 1, 0.9)
-	g.AddLink(1, 2, 0.9)
-	g.SortNeighbors()
-	tight := carrierSenseBitset(g, 1.0)
-	if topology.BitsetHas(tight[0], 2) {
-		t.Fatal("factor 1.0: ends should be hidden")
-	}
-	if !topology.BitsetHas(tight[0], 1) || !topology.BitsetHas(tight[1], 2) {
-		t.Fatal("factor 1.0: adjacent nodes must be audible")
-	}
-	wide := carrierSenseBitset(g, 2.5)
-	if !topology.BitsetHas(wide[0], 2) {
-		t.Fatal("factor 2.5: ends should be audible")
-	}
-}
-
-func TestCarrierSenseBitsetFallsBackToAdjacency(t *testing.T) {
-	g := topology.New(3)
-	g.AddLink(0, 1, 0.9)
-	g.AddLink(1, 2, 0.9)
-	g.SortNeighbors()
-	// No positions: audibility == adjacency.
-	b := carrierSenseBitset(g, 1.0)
-	if !topology.BitsetHas(b[0], 1) || topology.BitsetHas(b[0], 2) {
-		t.Fatal("fallback adjacency wrong")
-	}
-}
-
 func TestOFForwardProbabilityShape(t *testing.T) {
 	// Build an OF over a tiny world via a real run, then probe the
 	// probability rule directly.

@@ -174,8 +174,9 @@ func (g *Graph) BestNeighbor(u int) (v int, prr float64, ok bool) {
 }
 
 // AdjacencyBitset returns a bit matrix b where b[u] has bit v set iff u and
-// v are linked; b[u][v/64]>>(v%64)&1. Protocols snapshot this in Reset for
-// O(1) carrier-sense audibility checks during simulation.
+// v are linked; b[u][v/64]>>(v%64)&1. Its user is the engine's compact-time
+// plan (internal/sim/compact.go), which snapshots it on small graphs for
+// the awake-pair offsets and the per-delivery relevance sweeps.
 func (g *Graph) AdjacencyBitset() [][]uint64 {
 	words := (g.N() + 63) / 64
 	b := make([][]uint64, g.N())
@@ -187,11 +188,6 @@ func (g *Graph) AdjacencyBitset() [][]uint64 {
 		}
 	}
 	return b
-}
-
-// BitsetHas reports whether bit v is set in row (a row of AdjacencyBitset).
-func BitsetHas(row []uint64, v int) bool {
-	return row[v/64]>>(uint(v)%64)&1 == 1
 }
 
 // MeanLinkPRR returns the mean PRR over all undirected links, or 0 for a
