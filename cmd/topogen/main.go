@@ -11,8 +11,9 @@
 //
 // For greenorbs, passing -nodes scales the calibrated 298-node deployment
 // to the requested size at constant node density (topology.
-// ScaledGreenOrbsConfig); link generation is spatial-hashed, so 100k-node
-// instances build in O(n).
+// ScaledGreenOrbsConfig). Links are generated in parallel over a spatial
+// hash, with the PRR evaluated only for pairs whose SNR can reach -minprr,
+// so a 100k-node instance builds in about a second on two cores.
 package main
 
 import (

@@ -3,7 +3,10 @@ package topology
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"ldcflood/internal/rngutil"
 )
@@ -52,8 +55,9 @@ func DefaultGreenOrbsConfig() GreenOrbsConfig {
 // radius stay fixed — so per-node degree statistics match the 298-node
 // trace and only the network's extent (hop diameter, flooding depth)
 // grows. This is the scale-workload generator behind cmd/topogen -nodes
-// and cmd/engbench -scale (10k–100k nodes); link generation uses the
-// spatial hash, so building a 100k-node instance is O(n).
+// and cmd/engbench -scale (10k–100k nodes). At these sizes link
+// generation runs on all cores over a spatial hash and evaluates the PRR
+// only for pairs whose SNR can reach MinPRR (see linkSpatial).
 func ScaledGreenOrbsConfig(nodes int) GreenOrbsConfig {
 	cfg := DefaultGreenOrbsConfig()
 	if nodes <= 0 {
@@ -88,8 +92,8 @@ func GenerateGreenOrbs(cfg GreenOrbsConfig, seed uint64) (*Graph, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("topology: GreenOrbs needs >= 2 nodes, got %d", cfg.Nodes)
 	}
-	if cfg.FieldX <= 0 || cfg.FieldY <= 0 {
-		return nil, fmt.Errorf("topology: non-positive field %vx%v", cfg.FieldX, cfg.FieldY)
+	if !validField(cfg.FieldX, cfg.FieldY) {
+		return nil, fmt.Errorf("topology: field %vx%v is not positive and finite", cfg.FieldX, cfg.FieldY)
 	}
 	if cfg.MinPRR <= 0 || cfg.MinPRR >= 1 {
 		return nil, fmt.Errorf("topology: MinPRR %v outside (0,1)", cfg.MinPRR)
@@ -177,11 +181,9 @@ func (sg *spatialGrid) key(p Point) [2]int32 {
 // sub-stream keyed by the pair, so the result does not depend on iteration
 // order. Pairs farther than the distance where even a very lucky (-3σ)
 // shadow draw cannot reach minPRR are skipped without consuming
-// randomness; above spatialHashMinNodes that cutoff also drives a spatial
-// hash (cell size = the cutoff, so a 3×3 neighborhood covers every
-// in-range pair) that enumerates exactly the same candidate pairs in the
-// same order as the quadratic scan — the generated graph is identical,
-// the cost drops from O(n²) to O(n) for constant-density fields.
+// randomness. Below spatialHashMinNodes a quadratic scan links pairs as it
+// finds them; above it linkSpatial builds the same adjacency — same links,
+// same PRRs, same per-node list order — in parallel from a spatial hash.
 func linkByDistance(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRNG *rngutil.Stream) {
 	maxDist := radio.ConnectedRange(minPRR) * math.Pow(10, 3*radio.ShadowStd/(10*radio.Exponent))
 	n := g.N()
@@ -193,27 +195,7 @@ func linkByDistance(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRN
 		}
 		return
 	}
-	sg := newSpatialGrid(g.Pos, maxDist)
-	var cands []int32
-	for u := 0; u < n; u++ {
-		ck := sg.key(g.Pos[u])
-		cands = cands[:0]
-		for dy := int32(-1); dy <= 1; dy++ {
-			for dx := int32(-1); dx <= 1; dx++ {
-				for _, v := range sg.cells[[2]int32{ck[0] + dx, ck[1] + dy}] {
-					if int(v) > u {
-						cands = append(cands, v)
-					}
-				}
-			}
-		}
-		// Ascending v reproduces the quadratic scan's insertion order, so
-		// adjacency lists come out byte-identical, not just set-equal.
-		slices.Sort(cands)
-		for _, v := range cands {
-			tryLink(g, radio, minPRR, maxPRR, shadowRNG, u, int(v), maxDist)
-		}
-	}
+	linkSpatial(g, radio, minPRR, maxPRR, shadowRNG, maxDist)
 }
 
 // tryLink is linkByDistance's per-pair body: skip beyond the cutoff, draw
@@ -227,14 +209,179 @@ func tryLink(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRNG *rngu
 	shadow := pairRNG.NormMeanStd(0, radio.ShadowStd)
 	prr := radio.PRR(d, shadow)
 	if prr >= minPRR {
-		if prr > 1 {
-			prr = 1
-		}
-		if maxPRR > 0 && prr > maxPRR {
-			prr = maxPRR
-		}
-		g.AddLink(u, v, prr)
+		g.AddLink(u, v, clampPRR(prr, maxPRR))
 	}
+}
+
+// clampPRR caps an accepted link's PRR at 1 and, when positive, at maxPRR.
+func clampPRR(prr, maxPRR float64) float64 {
+	if prr > 1 {
+		prr = 1
+	}
+	if maxPRR > 0 && prr > maxPRR {
+		prr = maxPRR
+	}
+	return prr
+}
+
+// linkChunkNodes is how many consecutive source nodes one linkSpatial work
+// item covers. Node u only scans partners v > u, so low ids cost more;
+// many small items handed out on demand keep the workers evenly loaded.
+const linkChunkNodes = 1024
+
+// linkChunk is one work item of linkSpatial: for each u in [lo, lo+len(deg))
+// its deg[u-lo] accepted partners v > u, ascending, packed in half as
+// Link{To: v, PRR: prr}.
+type linkChunk struct {
+	lo   int
+	deg  []int32
+	half []Link
+}
+
+// linker holds linkSpatial's read-only inputs, shared by every worker.
+type linker struct {
+	pos            []Point
+	sg             *spatialGrid
+	radio          RadioModel
+	minPRR, maxPRR float64
+	shadowRNG      *rngutil.Stream
+	maxDist        float64
+	far2           float64 // maxDist² with a margin: beyond it Hypot > maxDist
+	snrSkip        float64 // below it prrFromSNR < minPRR
+}
+
+// linkSpatial is linkByDistance's large-graph path, for a linkless g with
+// positions. A spatial hash with cell size maxDist puts every in-range
+// partner of u in u's 3×3 cell neighbourhood. runtime.GOMAXPROCS(0)
+// workers claim chunks of consecutive u and, for each in-range v > u, draw
+// the pair-keyed shadow exactly as tryLink does. A pair whose SNR is below
+// the bisected threshold radio.minSNR(minPRR), less a 1e-6 dB margin, cannot
+// reach minPRR and skips the PRR evaluation; every other pair is decided by
+// the same prr >= minPRR test as tryLink. The workers share g.Pos, the grid
+// and shadowRNG read-only and write only their own chunks.
+//
+// Assembly then counts degrees and carves every row from one backing
+// array, filling rows in (u ascending, v ascending) pair order — the
+// quadratic scan's AddLink order — so the adjacency is byte-identical to
+// it. Each row's capacity is its length, so a later AddLink (the
+// connectivity stitcher) reallocates the row instead of overwriting the
+// next one; rows without links stay nil.
+func linkSpatial(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRNG *rngutil.Stream, maxDist float64) {
+	n := g.N()
+	if g.NumLinks() != 0 {
+		panic("topology: linkSpatial needs a linkless graph")
+	}
+	lk := &linker{
+		pos:       g.Pos,
+		sg:        newSpatialGrid(g.Pos, maxDist),
+		radio:     radio,
+		minPRR:    minPRR,
+		maxPRR:    maxPRR,
+		shadowRNG: shadowRNG,
+		maxDist:   maxDist,
+		far2:      maxDist * maxDist * (1 + 1e-9),
+		snrSkip:   radio.minSNR(minPRR) - 1e-6,
+	}
+	chunks := make([]linkChunk, (n+linkChunkNodes-1)/linkChunkNodes)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(chunks)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []Link
+			for {
+				ci := int(next.Add(1) - 1)
+				if ci >= len(chunks) {
+					return
+				}
+				lo := ci * linkChunkNodes
+				chunks[ci], buf = lk.chunk(lo, min(lo+linkChunkNodes, n), buf[:0])
+			}
+		}()
+	}
+	wg.Wait()
+
+	deg := make([]int32, n)
+	for _, c := range chunks {
+		for i, d := range c.deg {
+			deg[c.lo+i] += d
+		}
+		for _, l := range c.half {
+			deg[l.To]++
+		}
+	}
+	total := 0
+	for _, d := range deg {
+		total += int(d)
+	}
+	back := make([]Link, total)
+	off := 0
+	for u, d := range deg {
+		if d > 0 {
+			g.adj[u] = back[off : off : off+int(d)]
+			off += int(d)
+		}
+	}
+	for _, c := range chunks {
+		half := c.half
+		for i, d := range c.deg {
+			u := c.lo + i
+			for _, l := range half[:d] {
+				g.adj[u] = append(g.adj[u], l)
+				g.adj[l.To] = append(g.adj[l.To], Link{To: u, PRR: l.PRR})
+			}
+			half = half[d:]
+		}
+	}
+	g.invalidate()
+}
+
+// chunk computes linkSpatial's accepted pairs for sources [lo, hi). It
+// collects them in the worker's scratch buf and returns an exact-size copy
+// together with buf for reuse.
+func (lk *linker) chunk(lo, hi int, buf []Link) (linkChunk, []Link) {
+	c := linkChunk{lo: lo, deg: make([]int32, hi-lo)}
+	pos, radio := lk.pos, lk.radio
+	for u := lo; u < hi; u++ {
+		start := len(buf)
+		ck := lk.sg.key(pos[u])
+		for dy := int32(-1); dy <= 1; dy++ {
+			for dx := int32(-1); dx <= 1; dx++ {
+				for _, v := range lk.sg.cells[[2]int32{ck[0] + dx, ck[1] + dy}] {
+					if int(v) <= u {
+						continue
+					}
+					// The squared distance rejects most out-of-range
+					// candidates without a Hypot; its margin leaves the
+					// decision to the same test as tryLink.
+					ex, ey := pos[u].X-pos[v].X, pos[u].Y-pos[v].Y
+					if ex*ex+ey*ey > lk.far2 {
+						continue
+					}
+					d := pos[u].Dist(pos[v])
+					if d > lk.maxDist {
+						continue
+					}
+					pairRNG := lk.shadowRNG.SubValue(uint64(u)<<32 | uint64(v))
+					shadow := pairRNG.NormMeanStd(0, radio.ShadowStd)
+					if radio.SNR(d, shadow) < lk.snrSkip {
+						continue
+					}
+					if prr := radio.PRR(d, shadow); prr >= lk.minPRR {
+						buf = append(buf, Link{To: int(v), PRR: clampPRR(prr, lk.maxPRR)})
+					}
+				}
+			}
+		}
+		// Cells are visited in a fixed order, not by id: sort the few
+		// accepted partners so rows fill in ascending v.
+		acc := buf[start:]
+		slices.SortFunc(acc, func(a, b Link) int { return a.To - b.To })
+		c.deg[u-lo] = int32(len(acc))
+	}
+	c.half = slices.Clone(buf)
+	return c, buf
 }
 
 // capDegree trims each node's adjacency to the maxDegree best links by PRR,
@@ -356,13 +503,27 @@ func ensureConnectedGrid(g *Graph, radio RadioModel, minPRR float64) {
 
 // nearestOutside updates (bestU, bestV, bestD) with the closest node to u
 // whose component differs from ci, searching grid rings outward until the
-// ring's minimum possible distance exceeds the incumbent.
+// ring's minimum possible distance exceeds the incumbent. Once the rings
+// searched span more cells than there are nodes, an exact scan of every
+// node is the cheaper way on, and it ends the search however far away the
+// nearest outside node lies.
 func (sg *spatialGrid) nearestOutside(pos []Point, compOf []int32, ci int32, u int, bestU, bestV *int, bestD *float64) {
 	ck := sg.key(pos[u])
 	for r := int32(0); ; r++ {
 		// Ring r's closest possible point is (r-1) cells away, so once an
 		// incumbent beats that bound no farther ring can improve on it.
 		if *bestV >= 0 && float64(r-1)*sg.cell > *bestD {
+			return
+		}
+		if side := 2*int64(r) + 1; side*side > int64(len(pos)) {
+			for v := range pos {
+				if compOf[v] == ci {
+					continue
+				}
+				if d := pos[u].Dist(pos[v]); d < *bestD {
+					*bestU, *bestV, *bestD = u, v, d
+				}
+			}
 			return
 		}
 		for dy := -r; dy <= r; dy++ {
@@ -380,10 +541,13 @@ func (sg *spatialGrid) nearestOutside(pos []Point, compOf []int32, ci int32, u i
 				}
 			}
 		}
-		if r > int32(len(compOf))+2 { // unreachable safety bound
-			return
-		}
 	}
+}
+
+// validField reports whether a generator's field is positive and finite,
+// so every placed node has finite coordinates.
+func validField(x, y float64) bool {
+	return x > 0 && y > 0 && !math.IsInf(x, 1) && !math.IsInf(y, 1)
 }
 
 func clamp(x, lo, hi float64) float64 {
@@ -405,9 +569,6 @@ const TestbedNodes = 139
 // complements the GreenOrbs forest preset for experiments that want a
 // second, structurally different deployment.
 func Testbed(seed uint64) *Graph {
-	radio := OpenFieldRadio()
-	radio.Exponent = 2.8 // indoor multipath
-	radio.ShadowStd = 5.0
 	cfg := GreenOrbsConfig{
 		Nodes:    TestbedNodes,
 		FieldX:   60,
@@ -415,7 +576,7 @@ func Testbed(seed uint64) *Graph {
 		Clusters: 3, // three floors' worth of clusters
 		ClusterR: 12,
 		Uniform:  0.5,
-		Radio:    radio,
+		Radio:    testbedRadio(),
 		MinPRR:   0.10,
 		MaxPRR:   0.95,
 	}
@@ -427,6 +588,15 @@ func Testbed(seed uint64) *Graph {
 	return g
 }
 
+// testbedRadio is the Testbed preset's indoor radio: the open-field model
+// with multipath attenuation and heavier shadowing from walls.
+func testbedRadio() RadioModel {
+	radio := OpenFieldRadio()
+	radio.Exponent = 2.8
+	radio.ShadowStd = 5.0
+	return radio
+}
+
 // RandomGeometric places n nodes uniformly in a fieldX × fieldY area and
 // links pairs via the radio model exactly as GenerateGreenOrbs does, but
 // without clustering. The result is made connected.
@@ -434,8 +604,8 @@ func RandomGeometric(n int, fieldX, fieldY float64, radio RadioModel, minPRR flo
 	if n < 2 {
 		return nil, fmt.Errorf("topology: RandomGeometric needs >= 2 nodes")
 	}
-	if fieldX <= 0 || fieldY <= 0 {
-		return nil, fmt.Errorf("topology: non-positive field")
+	if !validField(fieldX, fieldY) {
+		return nil, fmt.Errorf("topology: field %vx%v is not positive and finite", fieldX, fieldY)
 	}
 	if minPRR <= 0 || minPRR >= 1 {
 		return nil, fmt.Errorf("topology: MinPRR %v outside (0,1)", minPRR)

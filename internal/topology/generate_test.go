@@ -1,6 +1,10 @@
 package topology
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 )
 
@@ -81,6 +85,65 @@ func TestGreenOrbsDeterministic(t *testing.T) {
 	}
 }
 
+// adjDigest is the SHA-256 of every row's length and (To, PRR bits)
+// entries in row order, so it pins links, PRRs and list order.
+func adjDigest(g *Graph) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	for _, row := range g.adj {
+		put(uint64(len(row)))
+		for _, l := range row {
+			put(uint64(l.To))
+			put(math.Float64bits(l.PRR))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestScaledGreenOrbsGolden pins a 20k-node instance to the digest the
+// sequential spatial-hash generator (sorted 3×3 candidate lists, a PRR per
+// in-range pair, AddLink per link) produced, so the parallel prefiltered
+// path is certified against the generator it replaced, not only against
+// itself.
+func TestScaledGreenOrbsGolden(t *testing.T) {
+	g, err := GenerateGreenOrbs(ScaledGreenOrbsConfig(20000), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "4e3b033d0134a9d29e55d3102dc80dd503e984cc2b9bcbb055e5e3a5464865fd"
+	if got := adjDigest(g); got != want || g.NumLinks() != 222987 {
+		t.Fatalf("ScaledGreenOrbs(20000, 1): digest %s with %d links, want %s with 222987", got, g.NumLinks(), want)
+	}
+}
+
+// TestMinSNRExact sweeps the 1 dB below the prefilter threshold of
+// linkSpatial in 1e-4 dB steps: no skipped SNR may reach minPRR, and the
+// threshold itself must.
+func TestMinSNRExact(t *testing.T) {
+	for _, rc := range []struct {
+		name  string
+		radio RadioModel
+	}{{"forest", ForestRadio()}, {"open-field", OpenFieldRadio()}, {"testbed", testbedRadio()}} {
+		for _, minPRR := range []float64{0.10, 0.5, 0.9} {
+			snrMin := rc.radio.minSNR(minPRR)
+			if math.IsInf(snrMin, 0) || rc.radio.prrFromSNR(snrMin) < minPRR {
+				t.Fatalf("%s minPRR %v: minSNR %v has PRR %v", rc.name, minPRR, snrMin, rc.radio.prrFromSNR(snrMin))
+			}
+			skip := snrMin - 1e-6
+			for i := 1; i <= 10000; i++ {
+				s := skip - float64(i)*1e-4
+				if p := rc.radio.prrFromSNR(s); p >= minPRR {
+					t.Fatalf("%s minPRR %v: SNR %v below the skip threshold %v has PRR %v", rc.name, minPRR, s, skip, p)
+				}
+			}
+		}
+	}
+}
+
 func TestGreenOrbsCalibration(t *testing.T) {
 	// The synthetic trace must match the aggregate features the paper's
 	// evaluation relies on (see DESIGN.md substitution table).
@@ -123,6 +186,12 @@ func TestGenerateGreenOrbsConfigErrors(t *testing.T) {
 	bad = append(bad, c)
 	c = base
 	c.FieldX = 0
+	bad = append(bad, c)
+	c = base
+	c.FieldY = math.Inf(1)
+	bad = append(bad, c)
+	c = base
+	c.FieldX = math.NaN()
 	bad = append(bad, c)
 	c = base
 	c.MinPRR = 0
@@ -209,6 +278,9 @@ func TestRandomGeometricErrors(t *testing.T) {
 	}
 	if _, err := RandomGeometric(10, 0, 10, ForestRadio(), 0.1, 1); err == nil {
 		t.Fatal("zero field accepted")
+	}
+	if _, err := RandomGeometric(10, math.Inf(1), 10, ForestRadio(), 0.1, 1); err == nil {
+		t.Fatal("infinite field accepted")
 	}
 	if _, err := RandomGeometric(10, 10, 10, ForestRadio(), 0, 1); err == nil {
 		t.Fatal("MinPRR=0 accepted")
@@ -299,6 +371,19 @@ func BenchmarkGreenOrbsGeneration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = GreenOrbs(uint64(i))
+	}
+}
+
+// BenchmarkScaledGreenOrbsGeneration builds a 20k-node constant-density
+// instance: link generation on the parallel spatial-hash path plus the
+// connectivity stitch, sort and validation.
+func BenchmarkScaledGreenOrbsGeneration(b *testing.B) {
+	cfg := ScaledGreenOrbsConfig(20000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateGreenOrbs(cfg, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -97,6 +97,36 @@ func (m RadioModel) prrFromSNR(snrDB float64) float64 {
 	return prr
 }
 
+// minSNR returns, by bisection on prrFromSNR, the smallest SNR (dB) found
+// whose PRR reaches prrThreshold: prrFromSNR(minSNR) >= prrThreshold and
+// every SNR a rounding step below it falls short. It returns -Inf when the
+// PRR curve does not cross the threshold inside ±1e4 dB (a degenerate
+// radio), so a caller skipping pairs below it then skips none.
+func (m RadioModel) minSNR(prrThreshold float64) float64 {
+	lo, hi := -1.0, 1.0
+	for m.prrFromSNR(lo) >= prrThreshold {
+		if lo *= 2; lo < -1e4 {
+			return math.Inf(-1)
+		}
+	}
+	for m.prrFromSNR(hi) < prrThreshold {
+		if hi *= 2; hi > 1e4 {
+			return math.Inf(-1)
+		}
+	}
+	for {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			return hi
+		}
+		if m.prrFromSNR(mid) >= prrThreshold {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+}
+
 // ConnectedRange returns the largest distance at which the shadowing-free
 // PRR still exceeds the threshold. It brackets by doubling and then
 // bisects; the result is accurate to ~1 cm.

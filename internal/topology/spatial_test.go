@@ -2,7 +2,9 @@ package topology
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"ldcflood/internal/rngutil"
 )
@@ -124,5 +126,83 @@ func TestScaledGreenOrbsConfig(t *testing.T) {
 	deg := float64(2*g.NumLinks()) / float64(g.N())
 	if deg < 0.5*baseDeg || deg > 2*baseDeg {
 		t.Fatalf("scaled mean degree %.1f far from calibration %.1f", deg, baseDeg)
+	}
+}
+
+// TestLinkByDistanceWorkerInvariance generates the same instances under
+// GOMAXPROCS 1, 2 and 8: linkSpatial's worker count must not reach the
+// adjacency (nil rows included) or the positions.
+func TestLinkByDistanceWorkerInvariance(t *testing.T) {
+	const n = 4000
+	cfg := ScaledGreenOrbsConfig(n)
+	gens := []struct {
+		name string
+		f    func() (*Graph, error)
+	}{
+		{"scaled-greenorbs", func() (*Graph, error) { return GenerateGreenOrbs(cfg, 5) }},
+		{"rgg", func() (*Graph, error) { return RandomGeometric(n, cfg.FieldX, cfg.FieldY, ForestRadio(), 0.10, 5) }},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, gen := range gens {
+		var ref *Graph
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			g, err := gen.f()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = g
+				continue
+			}
+			if !reflect.DeepEqual(ref.adj, g.adj) || !reflect.DeepEqual(ref.Pos, g.Pos) {
+				t.Fatalf("%s: GOMAXPROCS %d output differs from GOMAXPROCS 1", gen.name, procs)
+			}
+		}
+	}
+}
+
+// TestEnsureConnectedFarNode stitches graphs whose nearest cross-component
+// pair lies far beyond the grid stitcher's ring search: it must still
+// finish, with one component, well within the deadline.
+func TestEnsureConnectedFarNode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    func() (*Graph, error)
+	}{
+		{"lattice+outlier", func() (*Graph, error) {
+			g := New(600)
+			g.Pos = make([]Point, 600)
+			for i := 0; i < 599; i++ {
+				g.Pos[i] = Point{X: 5 * float64(i%25), Y: 5 * float64(i/25)}
+			}
+			g.Pos[599] = Point{X: 1e5}
+			ensureConnected(g, ForestRadio(), 0.1)
+			return g, g.Validate()
+		}},
+		{"sparse-rgg", func() (*Graph, error) {
+			return RandomGeometric(600, 1e6, 1e6, ForestRadio(), 0.1, 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			var g *Graph
+			go func() {
+				var err error
+				g, err = tc.f()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("connectivity stitch still running after 10 s")
+			}
+			if comps := g.Components(); len(comps) != 1 {
+				t.Fatalf("%d components after stitching", len(comps))
+			}
+		})
 	}
 }
