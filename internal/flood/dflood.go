@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"math"
 	"math/bits"
 
 	"ldcflood/internal/rngutil"
@@ -44,7 +45,9 @@ type DFlood struct {
 	Ndupl int
 	// MaxDoublings caps the per-attempt backoff doubling; past it the
 	// backoff grows linearly at Tmin << MaxDoublings per attempt. Zero
-	// selects the default (6).
+	// selects the default (6). Reset clamps it so Tmin << MaxDoublings
+	// fits in int64, and the accumulated backoff saturates rather than
+	// wrapping.
 	MaxDoublings int
 	// DisableOverhearing restricts DFlood to pure unicast receptions
 	// (used by the serial-vs-planner metamorphic tests).
@@ -81,6 +84,7 @@ func (d *DFlood) Reset(w *sim.World) {
 	if d.MaxDoublings <= 0 {
 		d.MaxDoublings = 6
 	}
+	d.MaxDoublings = min(d.MaxDoublings, maxShift(d.Tmin))
 	d.m = w.M
 	d.csr = w.Graph.CSR()
 	d.timer = *w.ProtoRNG.SubName("dflood.timer")
@@ -113,36 +117,85 @@ func (d *DFlood) FloodCounters() (messages, suppressed int64) {
 // slice is owned by the protocol; do not modify.
 func (d *DFlood) SuppressedPerNode() []int64 { return d.supp.perNode }
 
+// maxBackoff saturates the attempt backoff. A backoff this large lies far
+// beyond any run's horizon, and the headroom keeps the forwarding slots
+// built on it from wrapping.
+const maxBackoff = math.MaxInt64 >> 2
+
 // backoff returns the deterministic backoff accumulated over a prior
 // attempts: Tmin doubling per attempt, capped at Tmin << MaxDoublings,
-// in closed form.
+// in closed form, saturating at maxBackoff. Never negative.
 func (d *DFlood) backoff(a int32) int64 {
 	if a <= 0 {
 		return 0
 	}
 	da := int64(a)
-	cap64 := int64(d.MaxDoublings)
-	if da <= cap64 {
-		return d.Tmin * ((1 << da) - 1)
+	k := int64(d.MaxDoublings) // Reset keeps Tmin << k within int64
+	if da <= k {
+		return min(d.Tmin*((1<<da)-1), maxBackoff)
 	}
-	return d.Tmin * (((1 << cap64) - 1) + (da-cap64)<<cap64)
+	doubled, step := d.Tmin*((1<<k)-1), d.Tmin<<k
+	if da-k > (maxBackoff-doubled)/step {
+		return maxBackoff
+	}
+	return doubled + (da-k)*step
 }
 
-// fireSlots returns the base and penalized forwarding slots for packet p
-// at node s: reception slot + Tmin + keyed jitter + attempt backoff, and
-// the same plus the duplicate penalty (one Tmax per neighboring holder
-// at or past the Ndupl threshold). Pure; callers guarantee s holds p.
-func (d *DFlood) fireSlots(w *sim.World, s, p int) (base, required int64) {
-	a := d.attempts[s*d.m+p]
-	u := d.timer.PairFloat64(uint64(s)*uint64(d.m)+uint64(p), uint64(a))
-	base = w.RecvTime(p, s) + d.Tmin + int64(u*float64(d.Tmax-d.Tmin)) + d.backoff(a)
-	required = base
+// fireWindow returns packet p's forwarding slots at node s up to the
+// keyed jitter: the base slot is lo (reception slot + Tmin + attempt
+// backoff) plus the jitter, and the penalized slot is the base plus pen,
+// the duplicate penalty (one Tmax per neighboring holder at or past the
+// Ndupl threshold). a is the attempt count that keys the jitter. Pure;
+// callers guarantee s holds p.
+func (d *DFlood) fireWindow(w *sim.World, s, p int) (lo, pen int64, a int32) {
+	a = d.attempts[s*d.m+p]
+	lo = w.RecvTime(p, s) + d.Tmin + d.backoff(a)
 	if d.Ndupl >= 0 {
 		if holders := w.NeighborHolders(p, s); holders >= d.Ndupl {
-			required += int64(holders-d.Ndupl+1) * d.Tmax
+			pen = int64(holders-d.Ndupl+1) * d.Tmax
 		}
 	}
-	return base, required
+	return lo, pen, a
+}
+
+// jitter returns the keyed forwarding jitter of packet p at node s on
+// attempt a. PairFloat64 returns k/2^53 < 1, so the jitter lies in
+// [0, Tmax-Tmin-1].
+func (d *DFlood) jitter(s, p int, a int32) int64 {
+	u := d.timer.PairFloat64(uint64(s)*uint64(d.m)+uint64(p), uint64(a))
+	return int64(u * float64(d.Tmax-d.Tmin))
+}
+
+// probe is the jitter-free verdict on one offered packet.
+type probe uint8
+
+const (
+	// probeDraw: the jitter's range straddles the decision; draw it.
+	probeDraw probe = iota
+	// probeNotDue: the base slot lies after now for every jitter.
+	probeNotDue
+	// probeBlocked: the base slot has passed but the penalized slot has
+	// not, for every jitter.
+	probeBlocked
+	// probeLoses: the penalized slot cannot undercut the packet already
+	// chosen, whose penalized slot is best.
+	probeLoses
+)
+
+// bracket decides a probe from the jitter's range alone. With the jitter
+// in [0, span-1], base lies in [lo, lo+span-1] and required in
+// [lo+pen, lo+span-1+pen], so a verdict other than probeDraw is the one
+// pairChoice would reach for every possible draw.
+func bracket(now, lo, span, pen int64, chosen bool, best int64) probe {
+	switch {
+	case now < lo:
+		return probeNotDue
+	case now >= lo+span-1 && now < lo+pen:
+		return probeBlocked
+	case chosen && lo+pen >= best:
+		return probeLoses
+	}
+	return probeDraw
 }
 
 // pairChoice evaluates what sender s offers receiver r this slot: among
@@ -150,17 +203,30 @@ func (d *DFlood) fireSlots(w *sim.World, s, p int) (base, required int64) {
 // the one with the smallest penalized slot (ties to the smaller packet
 // index) if that slot has passed too — otherwise the pair is
 // duplicate-blocked. It returns the packet (-1 when nothing is due), the
-// penalized slot of the choice, and whether the pair is blocked.
+// penalized slot of the choice, and whether the pair is blocked. The
+// keyed jitter is drawn only for packets the bracket cannot decide.
 func (d *DFlood) pairChoice(w *sim.World, s, r int, now int64) (pkt int, required int64, blocked bool) {
 	pkt = -1
 	blockedPkt := -1
+	span := d.Tmax - d.Tmin
 	rh := w.Held(r)
 	for i, sw := range w.Held(s) {
 		// Set bits in ascending packet order, so ties still go to the
 		// smaller packet index.
 		for offer := sw &^ rh[i]; offer != 0; offer &= offer - 1 {
 			p := i<<6 + bits.TrailingZeros64(offer)
-			base, req := d.fireSlots(w, s, p)
+			lo, pen, a := d.fireWindow(w, s, p)
+			switch bracket(now, lo, span, pen, pkt >= 0, required) {
+			case probeNotDue, probeLoses:
+				continue
+			case probeBlocked:
+				if blockedPkt < 0 {
+					blockedPkt = p
+				}
+				continue
+			}
+			base := lo + d.jitter(s, p, a)
+			req := base + pen
 			if now < base {
 				continue // not yet due at all
 			}

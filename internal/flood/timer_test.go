@@ -7,6 +7,7 @@ package flood
 // time paths, and across the two time paths at Workers == 0.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -83,6 +84,43 @@ func TestDFloodBackoffClosedForm(t *testing.T) {
 		if got, want := d.backoff(a), iterative(a); got != want {
 			t.Fatalf("backoff(%d) = %d, want %d", a, got, want)
 		}
+	}
+}
+
+// TestTrickleDoublingsClamped pins the overflow clamp: a MaxDoublings
+// whose shift leaves int64 is clamped at Reset, so the interval keeps
+// doubling instead of wrapping to a negative Imax.
+func TestTrickleDoublingsClamped(t *testing.T) {
+	tr := &Trickle{Imin: 16, MaxDoublings: 59}
+	runOn(t, topology.Line(3, 1), alwaysOn(3), tr, 1, 1, 10000)
+	if tr.MaxDoublings != 58 || tr.imax != 16<<58 {
+		t.Fatalf("Trickle clamp: MaxDoublings %d, imax %d; want 58, %d", tr.MaxDoublings, tr.imax, int64(16<<58))
+	}
+	// Doubling from slot 0: intervals start at 16*(2^k - 1).
+	if start, length := tr.intervalAt(0, 100000); start != 65520 || length != 65536 {
+		t.Fatalf("intervalAt(0, 100000) = (%d, %d), want (65520, 65536)", start, length)
+	}
+}
+
+// TestDFloodDoublingsClamped pins the backoff overflow fix: MaxDoublings
+// is clamped at Reset and the backoff saturates, so it never goes
+// negative or shrinks with more attempts.
+func TestDFloodDoublingsClamped(t *testing.T) {
+	d := &DFlood{MaxDoublings: 63}
+	runOn(t, topology.Line(3, 1), alwaysOn(3), d, 1, 1, 10000)
+	if d.MaxDoublings != 60 {
+		t.Fatalf("DFlood clamp: MaxDoublings %d, want 60 for Tmin 5", d.MaxDoublings)
+	}
+	prev := int64(0)
+	for _, a := range []int32{1, 2, 59, 60, 61, 62, 63, 64, 65, 100, 1 << 20, math.MaxInt32} {
+		b := d.backoff(a)
+		if b < prev {
+			t.Fatalf("backoff(%d) = %d, below the previous attempt's %d", a, b, prev)
+		}
+		prev = b
+	}
+	if got := d.backoff(64); got != maxBackoff {
+		t.Fatalf("backoff(64) = %d, want saturation at %d", got, int64(maxBackoff))
 	}
 }
 

@@ -1,6 +1,8 @@
 package flood
 
 import (
+	"math/bits"
+
 	"ldcflood/internal/rngutil"
 	"ldcflood/internal/sim"
 	"ldcflood/internal/telemetry"
@@ -38,7 +40,8 @@ type Trickle struct {
 	// selects the default (6, i.e. Imax = 64*Imin). Keeping Imax modest
 	// matters under low duty cycles: a fire point is only useful when a
 	// needy receiver is awake at it, so steady-state retry latency is
-	// roughly Imax divided by the duty cycle.
+	// roughly Imax divided by the duty cycle. Reset clamps it so Imax
+	// fits in int64.
 	MaxDoublings int
 	// K is the redundancy constant: a firing with at least K consistent
 	// earlier transmissions in its listening window is suppressed. Zero
@@ -78,6 +81,7 @@ func (t *Trickle) Reset(w *sim.World) {
 	if t.K == 0 {
 		t.K = 2
 	}
+	t.MaxDoublings = min(t.MaxDoublings, maxShift(t.Imin))
 	t.imax = t.Imin << t.MaxDoublings
 	t.csr = w.Graph.CSR()
 	t.timer = *w.ProtoRNG.SubName("trickle.timer")
@@ -109,6 +113,12 @@ func (t *Trickle) FloodCounters() (messages, suppressed int64) {
 // SuppressedPerNode returns the per-node suppressed-firing counts. The
 // slice is owned by the protocol; do not modify.
 func (t *Trickle) SuppressedPerNode() []int64 { return t.supp.perNode }
+
+// maxShift returns the largest k for which base << k stays a positive
+// int64 — the clamp Trickle and DFlood apply to MaxDoublings. base > 0.
+func maxShift(base int64) int {
+	return 63 - bits.Len64(uint64(base))
+}
 
 // lastResetOf returns node s's most recent interval reset: the latest slot
 // at which it received any packet it holds (injection included), clamped

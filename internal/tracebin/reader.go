@@ -56,10 +56,11 @@ const maxVarintLen = 10
 // Reader streams events out of a binary trace. Use Next for one event at
 // a time or ReadAll for the whole document.
 type Reader struct {
-	r   io.Reader
-	buf []byte // unconsumed decoded window
-	off int64  // file offset of buf[0]
-	eof bool   // underlying reader exhausted
+	r     io.Reader
+	store []byte // reused backing array; buf is always a slice of it
+	buf   []byte // unconsumed window
+	off   int64  // file offset of buf[0]
+	eof   bool   // underlying reader exhausted
 
 	headerDone bool
 	torn       bool
@@ -70,7 +71,8 @@ type Reader struct {
 
 // NewReader returns a Reader decoding from r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r, buf: make([]byte, 0, 64*1024)}
+	store := make([]byte, windowSize)
+	return &Reader{r: r, store: store, buf: store[:0]}
 }
 
 // Torn reports whether the trace ended mid-record (or mid-header) — a
@@ -78,14 +80,25 @@ func NewReader(r io.Reader) *Reader {
 // returned io.EOF.
 func (r *Reader) Torn() bool { return r.torn }
 
+const (
+	// windowSize is the initial backing array of a Reader's window.
+	windowSize = 64 * 1024
+	// minRead is the least free space fill offers the underlying reader.
+	minRead = 4096
+)
+
 // fill grows the window to at least n unconsumed bytes, stopping early at
-// EOF. It returns the number of bytes available.
+// EOF. It returns the number of bytes available. When the free space
+// behind the window runs short, the unconsumed bytes (fewer than n, so
+// at most one record's worth) slide back to the start of the backing
+// array; the array grows only when the window itself needs the room.
 func (r *Reader) fill(n int) (int, error) {
 	for len(r.buf) < n && !r.eof {
-		if cap(r.buf)-len(r.buf) < 4096 {
-			grown := make([]byte, len(r.buf), cap(r.buf)*2+4096)
-			copy(grown, r.buf)
-			r.buf = grown
+		if cap(r.buf)-len(r.buf) < minRead {
+			if len(r.buf)+minRead > len(r.store) {
+				r.store = make([]byte, 2*len(r.store)+minRead)
+			}
+			r.buf = r.store[:copy(r.store, r.buf)]
 		}
 		m, err := r.r.Read(r.buf[len(r.buf):cap(r.buf)])
 		r.buf = r.buf[:len(r.buf)+m]
@@ -98,9 +111,10 @@ func (r *Reader) fill(n int) (int, error) {
 	return len(r.buf), nil
 }
 
-// consume drops n bytes from the front of the window.
+// consume drops n bytes from the front of the window. It only reslices:
+// fill reclaims the consumed prefix when it next needs the room.
 func (r *Reader) consume(n int) {
-	r.buf = r.buf[:copy(r.buf, r.buf[n:])]
+	r.buf = r.buf[n:]
 	r.off += int64(n)
 }
 
@@ -206,7 +220,7 @@ func (r *Reader) Next() (tracelog.Event, error) {
 	if n < 0 {
 		return tracelog.Event{}, &CorruptError{Offset: r.off, Reason: fmt.Sprintf("unknown record kind 0x%02x", kind)}
 	}
-	fields := make([]int64, n)
+	var fields [5]int64 // the widest record kind has five fields
 	p := 1
 	for i := 0; i < n; i++ {
 		v, next, err := r.varint(p)
